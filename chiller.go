@@ -2,6 +2,7 @@ package chiller
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -265,8 +266,11 @@ func (db *DB) buildEngine(n *server.Node) cc.Engine {
 // the DB takes node ID len(peers) (outside the data topology) and a
 // partition no node primaries, so every locality check in the
 // coordination paths resolves to a remote verb over the socket. The
-// client's topology, directory, and registry must mirror the nodes' —
-// Register the same procedures the nodes registered before Execute.
+// client adopts the nodes' layout once, here: partition placement, peer
+// addresses and the hot lookup table, so transactions touching hot
+// records take the two-region path and are routed to their inner host.
+// The registry must mirror the nodes' — Register the same procedures
+// the nodes registered before Execute.
 func openTCP(cfg config) (*DB, error) {
 	fab, err := tcpnet.New(tcpnet.Config{
 		ID:         transport.NodeID(len(cfg.peers)),
@@ -281,9 +285,25 @@ func openTCP(cfg config) (*DB, error) {
 	}
 	fab.SetPeers(addrs)
 
+	ids := make([]transport.NodeID, len(cfg.peers))
+	for i := range ids {
+		ids[i] = transport.NodeID(i)
+	}
+	layout, err := server.FetchTopo(fab, ids...)
+	if err == nil && len(layout.Parts) != cfg.partitions {
+		err = fmt.Errorf("%d peers but the cluster has %d partitions: %w", cfg.partitions, len(layout.Parts), ErrBadConfig)
+	}
+	if err != nil {
+		fab.Close()
+		if errors.Is(err, transport.ErrUnreachable) {
+			err = fmt.Errorf("%w: %w", ErrUnreachable, err)
+		}
+		return nil, fmt.Errorf("chiller: adopt cluster layout: %w", err)
+	}
 	topo := cluster.NewTopology(cfg.partitions, cfg.replication)
 	dir := cluster.NewDirectory(topo, cfg.partitioner)
 	dir.SetLanes(cfg.lanes)
+	layout.Adopt(fab, dir)
 
 	db := &DB{
 		cfg:      cfg,

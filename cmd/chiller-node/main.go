@@ -188,18 +188,11 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 		// joins, promotions); adopt the current one before asking for a
 		// partition. The fetch also merges any node addresses this joiner's
 		// static -peers list lacks (other joiners).
-		payload, err := fab.Call(transport.NodeID(0), server.VerbTopoGet, nil)
+		layout, err := server.FetchTopo(fab, 0)
 		if err != nil {
-			return fmt.Errorf("fetch topology from node 0: %w", err)
+			return err
 		}
-		parts, addrMap, err := server.DecodeTopoPayload(payload)
-		if err != nil {
-			return fmt.Errorf("decode topology: %w", err)
-		}
-		if len(addrMap) > 0 {
-			fab.SetPeers(addrMap)
-		}
-		topo.Install(parts)
+		layout.Adopt(fab, dir)
 
 		if joinPart >= 0 {
 			if joinPart >= nodes {

@@ -63,11 +63,11 @@ type RemoteClient struct {
 }
 
 // Connect builds the client-side coordinator for a cluster of
-// len(cfg.Peers) chiller-node processes. It does not touch the network:
-// connections are dialed lazily on the first verb, and tcpnet's dial
-// retry absorbs nodes that are still starting up. Register procedures
-// on Registry (and install any hot-record directory entries) before
-// running transactions.
+// len(cfg.Peers) chiller-node processes and adopts the cluster's layout
+// (RefreshTopology), hot lookup table included, the way chiller.Open
+// over TCP does; tcpnet's dial retry absorbs nodes that are still
+// starting up. Register procedures on Registry before running
+// transactions.
 func Connect(cfg ConnectConfig, def cluster.DefaultPartitioner) (*RemoteClient, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("bench: Connect needs at least one peer")
@@ -118,6 +118,10 @@ func Connect(cfg ConnectConfig, def cluster.DefaultPartitioner) (*RemoteClient, 
 	chiller := core.New(node)
 	chiller.SetVerbBatching(cfg.VerbBatching)
 	rc.engines[EngineChiller] = chiller
+	if err := rc.RefreshTopology(); err != nil {
+		rc.Close()
+		return nil, err
+	}
 	return rc, nil
 }
 
@@ -127,24 +131,18 @@ func (rc *RemoteClient) Engine(kind EngineKind) cc.Engine {
 }
 
 // RefreshTopology fetches the cluster's current layout from node 0 and
-// installs it into the client's topology, merging any node addresses
-// the client's static peer list lacks (nodes that joined after it
-// connected). Nodes cannot push layout changes to the client — they
-// have no dialable address for it — so a client that must survive
-// membership churn polls (see WatchTopology).
+// installs it into the client's topology and directory, merging any
+// node addresses the client's static peer list lacks (nodes that joined
+// after it connected) and replacing the hot lookup table in one swap.
+// Nodes cannot push layout changes to the client — they have no
+// dialable address for it — so a client that must survive membership
+// churn polls (see WatchTopology).
 func (rc *RemoteClient) RefreshTopology() error {
-	payload, err := rc.fab.Call(transport.NodeID(0), server.VerbTopoGet, nil)
+	t, err := server.FetchTopo(rc.fab, 0)
 	if err != nil {
-		return fmt.Errorf("bench: fetch topology: %w", err)
+		return fmt.Errorf("bench: %w", err)
 	}
-	parts, addrs, err := server.DecodeTopoPayload(payload)
-	if err != nil {
-		return fmt.Errorf("bench: decode topology: %w", err)
-	}
-	if len(addrs) > 0 {
-		rc.fab.SetPeers(addrs)
-	}
-	rc.Topo.Install(parts)
+	t.Adopt(rc.fab, rc.Dir)
 	return nil
 }
 
@@ -371,13 +369,9 @@ func Figure10Remote(opt Options, peers []string) (*Figure, error) {
 	if err := tpcc.RegisterAll(rc.Registry); err != nil {
 		return nil, err
 	}
-	tpcc.MarkHot(rc.Dir, tcfg)
-	// Adopt the cluster's current layout and follow it for the sweep's
-	// duration: the CI churn job live-adds a node mid-sweep, and the
-	// client must route to whoever primaries each partition now.
-	if err := rc.RefreshTopology(); err != nil {
-		return nil, err
-	}
+	// Follow the cluster's layout for the sweep's duration: the CI churn
+	// job live-adds a node mid-sweep, and the client must route to
+	// whoever primaries each partition now.
 	defer rc.WatchTopology(100 * time.Millisecond)()
 
 	fig := &Figure{

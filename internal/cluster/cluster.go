@@ -13,6 +13,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -390,6 +391,11 @@ func EncodeTopologyTo(w *wire.Writer, t *Topology) {
 // metadata behind the layout).
 func DecodeTopologyFrom(r *wire.Reader) ([]PartitionInfo, error) {
 	n := r.Uint32()
+	// Every partition takes at least 16 bytes on the wire; a count the
+	// payload cannot hold is corrupt and must not size an allocation.
+	if int64(n)*16 > int64(r.Remaining()) {
+		return nil, fmt.Errorf("cluster: topology of %d partitions in %d bytes", n, r.Remaining())
+	}
 	parts := make([]PartitionInfo, 0, n)
 	for i := uint32(0); i < n; i++ {
 		info := PartitionInfo{
@@ -404,9 +410,56 @@ func DecodeTopologyFrom(r *wire.Reader) ([]PartitionInfo, error) {
 		for j := uint32(0); j < nw; j++ {
 			info.Warming = append(info.Warming, transport.NodeID(r.Uint32()))
 		}
+		if info.ID != PartitionID(i) {
+			return nil, fmt.Errorf("cluster: topology entry %d names partition %d", i, info.ID)
+		}
 		parts = append(parts, info)
 	}
 	return parts, r.Err()
+}
+
+// hotRowBytes is one encoded lookup-table row: table, key, partition,
+// weight, lane.
+const hotRowBytes = 4 + 8 + 4 + 8 + 4
+
+// EncodeHotRowsTo appends lookup-table rows to a wire writer.
+func EncodeHotRowsTo(w *wire.Writer, rows []HotRow) {
+	w.Uint32(uint32(len(rows)))
+	for _, r := range rows {
+		w.Uint32(uint32(r.RID.Table))
+		w.Uint64(uint64(r.RID.Key))
+		w.Uint32(uint32(r.Partition))
+		w.Float64(r.Weight)
+		w.Uint32(uint32(int32(r.Lane)))
+	}
+}
+
+// DecodeHotRowsFrom parses rows encoded by EncodeHotRowsTo for a
+// layout of partitions partitions. A row naming a partition outside
+// the layout, or a weight that is not a positive number, is an error,
+// so whatever decodes can be handed to ReplaceHot without a panic.
+func DecodeHotRowsFrom(r *wire.Reader, partitions int) ([]HotRow, error) {
+	n := r.Uint32()
+	if int64(n)*hotRowBytes > int64(r.Remaining()) {
+		return nil, fmt.Errorf("cluster: %d lookup-table rows in %d bytes", n, r.Remaining())
+	}
+	rows := make([]HotRow, n)
+	for i := range rows {
+		row := HotRow{
+			RID:       storage.RID{Table: storage.TableID(r.Uint32()), Key: storage.Key(r.Uint64())},
+			Partition: PartitionID(r.Uint32()),
+			Weight:    r.Float64(),
+			Lane:      int(int32(r.Uint32())),
+		}
+		if row.Partition < 0 || int(row.Partition) >= partitions {
+			return nil, fmt.Errorf("cluster: lookup-table row %v names partition %d of %d", row.RID, row.Partition, partitions)
+		}
+		if !(row.Weight > 0) || math.IsInf(row.Weight, 1) {
+			return nil, fmt.Errorf("cluster: lookup-table row %v has weight %v", row.RID, row.Weight)
+		}
+		rows[i] = row
+	}
+	return rows, r.Err()
 }
 
 // DefaultPartitioner is the orthogonal (non-workload-aware) scheme that
@@ -614,6 +667,14 @@ func (d *Directory) SetHotWeight(rid storage.RID, p PartitionID, w float64) {
 // the contention-centric partitioner when it treats lanes as
 // sub-partitions.
 func (d *Directory) SetHotPlacement(rid storage.RID, p PartitionID, w float64, lane int) {
+	e := d.hotEntry(p, w, lane)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.hot[rid] = e
+}
+
+// hotEntry validates and normalizes one lookup-table placement.
+func (d *Directory) hotEntry(p PartitionID, w float64, lane int) hotEntry {
 	if int(p) < 0 || int(p) >= d.topo.NumPartitions() {
 		panic(fmt.Sprintf("cluster: partition %d out of range", p))
 	}
@@ -623,9 +684,7 @@ func (d *Directory) SetHotPlacement(rid storage.RID, p PartitionID, w float64, l
 	if lane < 0 {
 		lane = -1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.hot[rid] = hotEntry{p: p, w: w, lane: lane}
+	return hotEntry{p: p, w: w, lane: lane}
 }
 
 // HotWeight returns the record's contention weight, or 0 when the record
@@ -639,11 +698,39 @@ func (d *Directory) HotWeight(rid storage.RID) float64 {
 	return 0
 }
 
-// ClearHot empties the lookup table (before installing a new layout).
-func (d *Directory) ClearHot() {
+// HotRow is one lookup-table row as it travels between processes and
+// layouts: the record, its home partition, its contention weight, and
+// its pinned execution lane (-1 defers to the stable hash mapping).
+type HotRow struct {
+	RID       storage.RID
+	Partition PartitionID
+	Weight    float64
+	Lane      int
+}
+
+// ReplaceHot installs rows as the whole lookup table in one swap, so a
+// concurrent reader sees either the previous table or the new one,
+// never a partly built mix. Rows are normalized like SetHotPlacement's
+// arguments, and a partition outside the topology panics the same way.
+func (d *Directory) ReplaceHot(rows []HotRow) {
+	hot := make(map[storage.RID]hotEntry, len(rows))
+	for _, r := range rows {
+		hot[r.RID] = d.hotEntry(r.Partition, r.Weight, r.Lane)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.hot = make(map[storage.RID]hotEntry)
+	d.hot = hot
+}
+
+// HotRows returns a snapshot of the lookup table.
+func (d *Directory) HotRows() []HotRow {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	rows := make([]HotRow, 0, len(d.hot))
+	for rid, e := range d.hot {
+		rows = append(rows, HotRow{RID: rid, Partition: e.p, Weight: e.w, Lane: e.lane})
+	}
+	return rows
 }
 
 // LookupTableSize returns the number of hot entries — the metadata cost
@@ -656,17 +743,6 @@ func (d *Directory) LookupTableSize() int {
 		n += len(d.full)
 	}
 	return n
-}
-
-// HotEntries returns a snapshot of the lookup table.
-func (d *Directory) HotEntries() map[storage.RID]PartitionID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[storage.RID]PartitionID, len(d.hot))
-	for k, v := range d.hot {
-		out[k] = v.p
-	}
-	return out
 }
 
 // InstallFullMap installs a complete record→partition assignment, the way

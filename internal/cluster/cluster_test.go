@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -125,9 +126,9 @@ func TestDirectoryRouting(t *testing.T) {
 		t.Fatalf("LookupTableSize = %d", d.LookupTableSize())
 	}
 
-	d.ClearHot()
+	d.ReplaceHot(nil)
 	if d.IsHot(rid) || d.Partition(rid) != defPart {
-		t.Fatal("ClearHot did not restore default routing")
+		t.Fatal("ReplaceHot(nil) did not restore default routing")
 	}
 }
 
@@ -167,10 +168,57 @@ func TestHotEntriesSnapshot(t *testing.T) {
 	d := NewDirectory(NewTopology(2, 1), HashPartitioner{N: 2})
 	rid := storage.RID{Table: 1, Key: 1}
 	d.SetHot(rid, 1)
-	snap := d.HotEntries()
-	snap[storage.RID{Table: 1, Key: 2}] = 0 // mutate snapshot
-	if d.LookupTableSize() != 1 {
+	snap := d.HotRows()
+	if len(snap) != 1 || snap[0] != (HotRow{RID: rid, Partition: 1, Weight: 1, Lane: -1}) {
+		t.Fatalf("HotRows = %+v", snap)
+	}
+	snap[0].Partition = 0 // mutate snapshot
+	if d.Partition(rid) != 1 {
 		t.Fatal("snapshot mutation leaked into directory")
+	}
+}
+
+// ReplaceHot swaps the whole lookup table at once: readers racing a
+// refresh see the old table or the new one, never a partial one.
+func TestReplaceHotSwapsWhole(t *testing.T) {
+	d := NewDirectory(NewTopology(2, 1), HashPartitioner{N: 2})
+	tables := [2][]HotRow{}
+	for p := range tables {
+		for k := 0; k < 64; k++ {
+			tables[p] = append(tables[p], HotRow{RID: storage.RID{Table: 1, Key: storage.Key(k)}, Partition: PartitionID(p), Weight: 1, Lane: -1})
+		}
+	}
+	d.ReplaceHot(tables[0])
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := d.LookupTableSize(); n != 64 {
+					t.Errorf("reader saw a table of %d rows, want 64", n)
+					return
+				}
+				if !d.IsHot(storage.RID{Table: 1, Key: 63}) {
+					t.Error("reader saw the last row missing")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		d.ReplaceHot(tables[i%2])
+	}
+	close(stop)
+	wg.Wait()
+	if got := d.Partition(storage.RID{Table: 1, Key: 5}); got != 1 {
+		t.Fatalf("after the last swap Partition = %d, want 1", got)
 	}
 }
 

@@ -43,12 +43,8 @@ func (l *Layout) LookupTableSize() int {
 // Install applies the layout to a directory: hot entries go into the
 // lookup table; a full map (if any) is installed wholesale.
 func (l *Layout) Install(dir *cluster.Directory) {
-	dir.ClearHot()
-	if l.Full != nil {
-		dir.InstallFullMap(l.Full)
-	} else {
-		dir.InstallFullMap(nil)
-	}
+	dir.InstallFullMap(l.Full)
+	rows := make([]cluster.HotRow, 0, len(l.Hot))
 	for rid, p := range l.Hot {
 		w, haveW := l.Weight[rid]
 		if !haveW {
@@ -58,8 +54,9 @@ func (l *Layout) Install(dir *cluster.Directory) {
 		if !haveLane {
 			lane = -1
 		}
-		dir.SetHotPlacement(rid, p, w, lane)
+		rows = append(rows, cluster.HotRow{RID: rid, Partition: p, Weight: w, Lane: lane})
 	}
+	dir.ReplaceHot(rows)
 }
 
 // Router answers record→partition queries.

@@ -282,16 +282,11 @@ func (n *Node) handleTopoGet(_ transport.NodeID, _ []byte) ([]byte, error) {
 }
 
 func (n *Node) handleTopoSet(_ transport.NodeID, req []byte) ([]byte, error) {
-	parts, addrs, err := DecodeTopoPayload(req)
+	t, err := DecodeTopoPayload(req)
 	if err != nil {
 		return nil, err
 	}
-	// Merge addresses before installing the layout, so routing to a
-	// node the new layout introduces never misses its address.
-	if pd, ok := n.ep.(PeerDirectory); ok && len(addrs) > 0 {
-		pd.SetPeers(addrs)
-	}
-	n.dir.Topology().Install(parts)
+	t.Adopt(n.ep, n.dir)
 	return nil, nil
 }
 
@@ -314,10 +309,20 @@ func (n *Node) handleHandoff(_ transport.NodeID, req []byte, reply func([]byte, 
 	}()
 }
 
-// EncodeTopoPayload serializes this node's current layout plus its peer
-// address book (empty on fabrics without explicit addressing).
+// TopoPayload is the layout the topology verbs exchange (VerbTopoGet
+// response, VerbTopoSet request, VerbHandoff response): partition
+// placement, the sender's peer address book (empty on fabrics without
+// explicit addressing), and the §4.4 lookup-table rows.
+type TopoPayload struct {
+	Parts []cluster.PartitionInfo
+	Addrs map[transport.NodeID]string
+	Hot   []cluster.HotRow
+}
+
+// EncodeTopoPayload serializes this node's current layout.
 func (n *Node) EncodeTopoPayload() []byte {
-	w := wire.NewWriter(256)
+	hot := n.dir.HotRows()
+	w := wire.NewWriter(256 + 32*len(hot))
 	cluster.EncodeTopologyTo(w, n.dir.Topology())
 	var addrs map[transport.NodeID]string
 	if pd, ok := n.ep.(PeerDirectory); ok {
@@ -328,24 +333,67 @@ func (n *Node) EncodeTopoPayload() []byte {
 		w.Uint32(uint32(id))
 		w.String(a)
 	}
+	cluster.EncodeHotRowsTo(w, hot)
 	return w.Bytes()
 }
 
-// DecodeTopoPayload parses a topology payload (VerbTopoGet response,
-// VerbTopoSet request, VerbHandoff response).
-func DecodeTopoPayload(p []byte) ([]cluster.PartitionInfo, map[transport.NodeID]string, error) {
+// DecodeTopoPayload parses a topology payload. Every lookup-table row
+// names a partition of the payload's own layout, so Adopt never hands
+// the directory a row it would reject.
+func DecodeTopoPayload(p []byte) (TopoPayload, error) {
 	r := wire.NewReader(p)
 	parts, err := cluster.DecodeTopologyFrom(r)
 	if err != nil {
-		return nil, nil, err
+		return TopoPayload{}, err
 	}
 	na := r.Uint32()
+	// An address takes at least 8 bytes (id and string length).
+	if int64(na)*8 > int64(r.Remaining()) {
+		return TopoPayload{}, fmt.Errorf("server: %d peer addresses in %d bytes", na, r.Remaining())
+	}
 	addrs := make(map[transport.NodeID]string, na)
 	for i := uint32(0); i < na; i++ {
 		id := transport.NodeID(r.Uint32())
 		addrs[id] = r.String()
 	}
-	return parts, addrs, r.Err()
+	if err := r.Err(); err != nil {
+		return TopoPayload{}, err
+	}
+	hot, err := cluster.DecodeHotRowsFrom(r, len(parts))
+	if err != nil {
+		return TopoPayload{}, err
+	}
+	return TopoPayload{Parts: parts, Addrs: addrs, Hot: hot}, nil
+}
+
+// Adopt installs the payload: addresses first, so routing to a node the
+// new layout introduces never misses its address, then the partition
+// placement, then the lookup table in one swap.
+func (t TopoPayload) Adopt(ep transport.Endpoint, dir *cluster.Directory) {
+	if pd, ok := ep.(PeerDirectory); ok && len(t.Addrs) > 0 {
+		pd.SetPeers(t.Addrs)
+	}
+	dir.Topology().Install(t.Parts)
+	dir.ReplaceHot(t.Hot)
+}
+
+// FetchTopo asks the given nodes in turn for their layout (VerbTopoGet)
+// and returns the first answer. If none answers, the error is the last
+// node's, which wraps transport.ErrUnreachable when it was down.
+func FetchTopo(ep transport.Endpoint, from ...transport.NodeID) (TopoPayload, error) {
+	err := errors.New("server: no node to fetch the layout from")
+	for _, id := range from {
+		var payload []byte
+		if payload, err = ep.Call(id, VerbTopoGet, nil); err != nil {
+			continue
+		}
+		t, derr := DecodeTopoPayload(payload)
+		if derr != nil {
+			return TopoPayload{}, fmt.Errorf("server: layout from node %d: %w", id, derr)
+		}
+		return t, nil
+	}
+	return TopoPayload{}, fmt.Errorf("server: fetch layout: %w", err)
 }
 
 // EncodeHandoffFlush builds the VerbHandoffFlush payload.

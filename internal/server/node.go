@@ -175,7 +175,6 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 	ep.HandleAsync(VerbLockRead, n.handleLockRead)
 	ep.HandleAsync(VerbCommit, n.handleCommit)
 	ep.Handle(VerbAbort, n.handleAbort)
-	ep.HandleAsync(VerbReplApply, n.handleReplApply)
 	ep.HandleAsync(VerbReplForward, n.handleReplForward)
 	ep.HandleAsync(VerbInnerRepl, n.handleInnerRepl)
 	ep.Handle(VerbInnerAck, n.handleInnerAck)
@@ -640,20 +639,6 @@ func (n *Node) handleAbort(_ transport.NodeID, req []byte) ([]byte, error) {
 	}
 	n.AbortLocal(txnID)
 	return nil, nil
-}
-
-// handleReplApply applies a write set directly on a replica, each
-// record's writes on its owning lane. Engines no longer drive this verb
-// (they forward through the partition primary, see handleReplForward,
-// so every record has exactly one replication pipe); it remains for
-// tooling and direct-apply tests.
-func (n *Node) handleReplApply(_ transport.NodeID, req []byte, reply func([]byte, error)) {
-	txnID, ts, writes, err := DecodeWrites(req)
-	if err != nil {
-		reply(nil, err)
-		return
-	}
-	n.applyByLane(txnID, ts, writes, func(aerr error) { reply(nil, aerr) })
 }
 
 // fwdAckBit namespaces the synthetic ack ids of forwarded replication

@@ -13,7 +13,6 @@ const (
 	VerbLockRead  = "lr"    // lock buckets + read records (2PL expanding phase)
 	VerbCommit    = "cm"    // apply writes, release locks (2PC phase 2)
 	VerbAbort     = "ab"    // roll back, release locks
-	VerbReplApply = "repl"  // primary→replica write-set apply (outer region)
 	VerbInnerExec = "inner" // coordinator→inner-host delegation (Chiller)
 	VerbTxnRoute  = "route" // client→coordinator transaction placement (Chiller)
 	VerbInnerRepl = "irepl" // primary→replica stream (one-way; inner + forwarded outer)

@@ -163,13 +163,16 @@ func (t *Table) retain(e *entry) {
 	if t.mv == nil || !t.mv.on.Load() {
 		return
 	}
-	e.prev = &version{ts: e.ts, value: e.value, dead: e.dead, prev: e.prev}
+	if e.mv == nil {
+		e.mv = &entryMVCC{}
+	}
+	e.mv.prev = &version{ts: e.mv.ts, value: e.value, dead: e.dead(), prev: e.mv.prev}
 	// Prune: chains are in strictly decreasing timestamp order (per-key
 	// writes are lock-ordered and timestamps are reserved under those
 	// locks), so everything past the first version at or below the
 	// watermark is invisible to every servable snapshot.
 	w := t.mv.watermark.Load()
-	for v := e.prev; v != nil; v = v.prev {
+	for v := e.mv.prev; v != nil; v = v.prev {
 		if v.ts <= w {
 			v.prev = nil
 			return
@@ -197,13 +200,13 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	e := &cur.entries[i]
-	if e.ts <= ts {
-		if e.dead {
+	if e.ts() <= ts {
+		if e.dead() {
 			return nil, ErrNotFound
 		}
 		return e.value, nil
 	}
-	for v := e.prev; v != nil; v = v.prev {
+	for v := e.mv.prev; v != nil; v = v.prev {
 		if v.ts <= ts {
 			if v.dead {
 				return nil, ErrNotFound
@@ -227,12 +230,11 @@ func (t *Table) PutAt(key Key, value []byte, ts uint64) error {
 		return ErrNotFound
 	}
 	e := &cur.entries[i]
-	v := make([]byte, len(value))
-	copy(v, value)
+	v := clone(value)
 	t.retain(e)
 	e.value = v
 	e.version++
-	e.ts = ts
+	e.setTS(ts)
 	return nil
 }
 
@@ -243,38 +245,27 @@ func (t *Table) PutAt(key Key, value []byte, ts uint64) error {
 // of other keys are never reused — their chains must stay readable.
 func (t *Table) InsertAt(key Key, value []byte, ts uint64) error {
 	if t.mv == nil || !t.mv.on.Load() {
-		return t.Bucket(key).insertStamped(key, value, ts, true)
+		return t.Bucket(key).insert(key, value, ts)
 	}
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if cur, i := b.findAny(key); cur != nil {
 		e := &cur.entries[i]
-		if !e.dead {
+		if !e.dead() {
 			return ErrExists
 		}
-		v := make([]byte, len(value))
-		copy(v, value)
+		v := clone(value)
 		t.retain(e)
 		e.value = v
-		e.dead = false
-		e.version++
-		e.ts = ts
+		e.version = e.ver() + 1
+		e.setTS(ts)
 		return nil
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	cur := b
-	for {
-		if len(cur.entries) < bucketCapacity {
-			cur.entries = append(cur.entries, entry{key: key, value: v, version: 1, ts: ts})
-			return nil
-		}
-		if cur.overflow == nil {
-			cur.overflow = &Bucket{}
-		}
-		cur = cur.overflow
-	}
+	e := entry{key: key, value: clone(value), version: 1}
+	e.setTS(ts)
+	b.appendEntry(e)
+	return nil
 }
 
 // UpsertAt is Upsert stamped with a commit timestamp.
@@ -298,10 +289,8 @@ func (t *Table) DeleteAt(key Key, ts uint64) error {
 	}
 	e := &cur.entries[i]
 	t.retain(e)
-	e.dead = true
-	e.value = nil
-	e.version++
-	e.ts = ts
+	e.tombstone()
+	e.setTS(ts)
 	return nil
 }
 
@@ -315,7 +304,7 @@ func (t *Table) VersionTS(key Key) (uint64, error) {
 	if cur == nil {
 		return 0, ErrNotFound
 	}
-	return cur.entries[i].ts, nil
+	return cur.entries[i].ts(), nil
 }
 
 // ChainDepth reports how many retained versions (beyond the live one)
@@ -329,8 +318,10 @@ func (t *Table) ChainDepth(key Key) int {
 		return 0
 	}
 	n := 0
-	for v := cur.entries[i].prev; v != nil; v = v.prev {
-		n++
+	if mv := cur.entries[i].mv; mv != nil {
+		for v := mv.prev; v != nil; v = v.prev {
+			n++
+		}
 	}
 	return n
 }
@@ -353,10 +344,8 @@ func (t *Table) RangeTS(fn func(key Key, value []byte, version, ts uint64) bool)
 		var recs []rec
 		for cur := b; cur != nil; cur = cur.overflow {
 			for j := range cur.entries {
-				if !cur.entries[j].dead {
-					v := make([]byte, len(cur.entries[j].value))
-					copy(v, cur.entries[j].value)
-					recs = append(recs, rec{cur.entries[j].key, v, cur.entries[j].version, cur.entries[j].ts})
+				if e := &cur.entries[j]; !e.dead() {
+					recs = append(recs, rec{e.key, clone(e.value), e.ver(), e.ts()})
 				}
 			}
 		}
@@ -380,37 +369,4 @@ func (b *Bucket) findAny(key Key) (*Bucket, int) {
 		}
 	}
 	return nil, -1
-}
-
-// insertStamped is the non-MVCC insert path with a timestamp stamp
-// (kept identical to Insert, including tombstone-slot reuse).
-func (b *Bucket) insertStamped(key Key, value []byte, ts uint64, reuseTombstones bool) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cur, _ := b.find(key); cur != nil {
-		return ErrExists
-	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	if reuseTombstones {
-		for cur := b; cur != nil; cur = cur.overflow {
-			for i := range cur.entries {
-				if cur.entries[i].dead {
-					cur.entries[i] = entry{key: key, value: v, version: 1, ts: ts}
-					return nil
-				}
-			}
-		}
-	}
-	cur := b
-	for {
-		if len(cur.entries) < bucketCapacity {
-			cur.entries = append(cur.entries, entry{key: key, value: v, version: 1, ts: ts})
-			return nil
-		}
-		if cur.overflow == nil {
-			cur.overflow = &Bucket{}
-		}
-		cur = cur.overflow
-	}
 }

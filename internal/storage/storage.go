@@ -153,17 +153,60 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// entry is one record slot inside a bucket.
+// entry is one record slot inside a bucket. It is 48 bytes: the
+// tombstone flag lives in version's top bit, and the MVCC state sits
+// behind one pointer that stays nil for records without history.
 type entry struct {
-	key     Key
-	value   []byte
+	key   Key
+	value []byte
+	// version counts writes to the record; deadBit marks a tombstone
+	// left by Delete. Readers see it through ver(), never raw.
 	version uint64
-	dead    bool // tombstone left by Delete
-	// ts is the commit timestamp of the current value (0 = initial
-	// load, visible to every snapshot); prev chains retained older
-	// versions, newest first (MVCC only — nil otherwise). See mvcc.go.
+	// mv is the commit timestamp and the retained older versions (see
+	// mvcc.go); nil means timestamp 0 (initial load, visible to every
+	// snapshot) and no history.
+	mv *entryMVCC
+}
+
+// entryMVCC is an entry's MVCC state: the commit timestamp of the
+// current value and its older versions, newest first.
+type entryMVCC struct {
 	ts   uint64
 	prev *version
+}
+
+// deadBit is the tombstone flag folded into entry.version.
+const deadBit = uint64(1) << 63
+
+func (e *entry) dead() bool { return e.version&deadBit != 0 }
+
+// ver is the record's version counter without the tombstone flag.
+func (e *entry) ver() uint64 { return e.version &^ deadBit }
+
+// ts is the commit timestamp of the current value.
+func (e *entry) ts() uint64 {
+	if e.mv == nil {
+		return 0
+	}
+	return e.mv.ts
+}
+
+// setTS stamps the current value, allocating the MVCC state only for a
+// non-zero timestamp.
+func (e *entry) setTS(ts uint64) {
+	if e.mv == nil {
+		if ts == 0 {
+			return
+		}
+		e.mv = &entryMVCC{}
+	}
+	e.mv.ts = ts
+}
+
+// tombstone marks the entry deleted and drops its value.
+func (e *entry) tombstone() {
+	e.value = nil
+	e.version = (e.ver() + 1) | deadBit
 }
 
 // Bucket holds a small set of records plus an embedded lock word. Buckets
@@ -182,7 +225,7 @@ const bucketCapacity = 8
 func (b *Bucket) find(key Key) (*Bucket, int) {
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			if cur.entries[i].key == key && !cur.entries[i].dead {
+			if cur.entries[i].key == key && !cur.entries[i].dead() {
 				return cur, i
 			}
 		}
@@ -205,7 +248,7 @@ func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	if cur == nil {
 		return nil, 0, ErrNotFound
 	}
-	return cur.entries[i].value, cur.entries[i].version, nil
+	return cur.entries[i].value, cur.entries[i].ver(), nil
 }
 
 // Version returns the record's current version without copying the value.
@@ -216,7 +259,7 @@ func (b *Bucket) Version(key Key) (uint64, error) {
 	if cur == nil {
 		return 0, ErrNotFound
 	}
-	return cur.entries[i].version, nil
+	return cur.entries[i].ver(), nil
 }
 
 // Put updates an existing record in place, bumping its version.
@@ -227,43 +270,62 @@ func (b *Bucket) Put(key Key, value []byte) error {
 	if cur == nil {
 		return ErrNotFound
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	cur.entries[i].value = v
+	cur.entries[i].value = clone(value)
 	cur.entries[i].version++
 	return nil
 }
 
 // Insert adds a new record. It fails with ErrExists if key is present.
 func (b *Bucket) Insert(key Key, value []byte) error {
+	return b.insert(key, value, 0)
+}
+
+// insert adds a new record stamped with commit timestamp ts, reusing a
+// tombstone slot anywhere in the chain first (stores without MVCC keep
+// no history a tombstone would have to preserve).
+func (b *Bucket) insert(key Key, value []byte, ts uint64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if cur, _ := b.find(key); cur != nil {
 		return ErrExists
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	// Reuse a tombstone slot anywhere in the chain first.
+	e := entry{key: key, value: clone(value), version: 1}
+	e.setTS(ts)
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			if cur.entries[i].dead {
-				cur.entries[i] = entry{key: key, value: v, version: 1}
+			if cur.entries[i].dead() {
+				cur.entries[i] = e
 				return nil
 			}
 		}
 	}
-	// Append to the first bucket in the chain with room.
+	b.appendEntry(e)
+	return nil
+}
+
+// appendEntry adds e to the first bucket in the chain with room,
+// growing its slice to exactly the new length: a bucket holds at most
+// bucketCapacity entries, so the copy is short, and no slot is left
+// allocated but unused. Caller holds b.mu.
+func (b *Bucket) appendEntry(e entry) {
 	cur := b
-	for {
-		if len(cur.entries) < bucketCapacity {
-			cur.entries = append(cur.entries, entry{key: key, value: v, version: 1})
-			return nil
-		}
+	for len(cur.entries) >= bucketCapacity {
 		if cur.overflow == nil {
 			cur.overflow = &Bucket{}
 		}
 		cur = cur.overflow
 	}
+	grown := make([]entry, len(cur.entries)+1)
+	copy(grown, cur.entries)
+	grown[len(cur.entries)] = e
+	cur.entries = grown
+}
+
+// clone copies a value into fresh immutable storage.
+func clone(value []byte) []byte {
+	v := make([]byte, len(value))
+	copy(v, value)
+	return v
 }
 
 // Upsert inserts or overwrites.
@@ -282,9 +344,7 @@ func (b *Bucket) Delete(key Key) error {
 	if cur == nil {
 		return ErrNotFound
 	}
-	cur.entries[i].dead = true
-	cur.entries[i].value = nil
-	cur.entries[i].version++
+	cur.entries[i].tombstone()
 	return nil
 }
 
@@ -295,7 +355,7 @@ func (b *Bucket) Len() int {
 	n := 0
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			if !cur.entries[i].dead {
+			if !cur.entries[i].dead() {
 				n++
 			}
 		}
@@ -336,10 +396,8 @@ func (b *Bucket) SnapshotTS() []SnapshotRecord {
 	var recs []SnapshotRecord
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			if !cur.entries[i].dead {
-				v := make([]byte, len(cur.entries[i].value))
-				copy(v, cur.entries[i].value)
-				recs = append(recs, SnapshotRecord{Key: cur.entries[i].key, Value: v, TS: cur.entries[i].ts})
+			if e := &cur.entries[i]; !e.dead() {
+				recs = append(recs, SnapshotRecord{Key: e.key, Value: clone(e.value), TS: e.ts()})
 			}
 		}
 	}
@@ -360,10 +418,8 @@ func (t *Table) Range(fn func(key Key, value []byte, version uint64) bool) {
 		var recs []rec
 		for cur := b; cur != nil; cur = cur.overflow {
 			for j := range cur.entries {
-				if !cur.entries[j].dead {
-					v := make([]byte, len(cur.entries[j].value))
-					copy(v, cur.entries[j].value)
-					recs = append(recs, rec{cur.entries[j].key, v, cur.entries[j].version})
+				if e := &cur.entries[j]; !e.dead() {
+					recs = append(recs, rec{e.key, clone(e.value), e.ver()})
 				}
 			}
 		}

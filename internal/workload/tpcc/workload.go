@@ -100,6 +100,17 @@ type Loader interface {
 	LoadRecord(table storage.TableID, key storage.Key, value []byte) error
 }
 
+// bucketsFor sizes a table for rows records at a load factor of at
+// most 1/16 (buckets are the unit of locking, so a sparse table keeps
+// false conflicts between records rare), capped at max buckets.
+func bucketsFor(rows, max int) int {
+	n := 1
+	for n < 16*rows && n < max {
+		n <<= 1
+	}
+	return n
+}
+
 // Load creates the tables and populates them. Each district is seeded
 // with one delivered order (oid 0, ten lines) so OrderStatus and Delivery
 // always find a latest order; d_next_o_id starts at 1.
@@ -109,8 +120,8 @@ func Load(l Loader, cfg Config) error {
 	}
 	l.CreateTable(TableWarehouse, 64)
 	l.CreateTable(TableDistrict, 256)
-	l.CreateTable(TableCustomer, 1<<14)
-	l.CreateTable(TableStock, 1<<16)
+	l.CreateTable(TableCustomer, bucketsFor(cfg.Warehouses*DistrictsPerWarehouse*cfg.CustomersPerDistrict, 1<<14))
+	l.CreateTable(TableStock, bucketsFor(cfg.Warehouses*cfg.Items, 1<<16))
 	l.CreateTable(TableOrder, 1<<14)
 	l.CreateTable(TableNewOrder, 1<<12)
 	l.CreateTable(TableOrderLine, 1<<15)

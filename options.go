@@ -36,8 +36,12 @@ const (
 	// a coordinator-only client. Requires WithPeers; the
 	// simulation-only options (WithPartitions, WithLatency, WithJitter,
 	// WithSampling) are rejected with ErrBadConfig, and store-touching
-	// DB methods return ErrUnsupported (the data lives in the node
-	// processes). See docs/NETWORK.md for the transport semantics.
+	// DB methods, MarkHot and Repartition included, return
+	// ErrUnsupported (the data lives in the node processes). Open
+	// adopts the nodes' layout and hot lookup table once, as a snapshot,
+	// so hot transactions take the two-region path; it fails with
+	// ErrUnreachable when no node answers. See docs/NETWORK.md for the
+	// transport semantics.
 	TransportTCP TransportKind = "tcp"
 )
 
